@@ -31,10 +31,10 @@ bench-json: ## runner speedup + equivalence report (BENCH_runner.json), then the
 
 faults: ## fault-injection suite under -race: torn writes, injected errors/panics, kill-and-resume
 	$(GO) test -race -count=1 ./internal/safeio ./internal/checkpoint ./internal/faultinject
-	$(GO) test -race -count=1 -run 'Fallback|Torn|KillAndResume|Resume' ./internal/defense ./internal/dataset ./internal/experiments
+	$(GO) test -race -count=1 -run 'Fallback|Torn|KillAndResume|Resume' ./internal/defense ./internal/engine ./internal/dataset ./internal/experiments
 
-serve-test: ## online serving suite under -race: e2e bit-equivalence, kill-and-drain, admission control, load harness, plus a frame-decoder fuzz smoke
-	$(GO) test -race -count=1 -timeout 15m ./internal/serve ./internal/benchjson
+serve-test: ## online serving suite under -race at GOMAXPROCS 1, 2 and 4: e2e bit-equivalence, kill-and-drain, admission control, load harness, plus a frame-decoder fuzz smoke
+	$(GO) test -race -count=1 -cpu 1,2,4 -timeout 15m ./internal/serve ./internal/benchjson
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/serve
 
 swap-test: ## live-vaccination gate under -race: generation lifecycle, canary gating, crash-safe staging, zero-downtime hot swap
@@ -46,13 +46,13 @@ kernel-test: ## fused-kernel gate: bit-identity, quantized agreement, zero-alloc
 	$(GO) test -race -count=1 -run 'Scorer|Backend' ./internal/serve
 	$(GO) test -race -count=1 -run 'FlagWindow|DetectorFlagger' ./internal/defense
 
-chaos-test: ## chaos gate under -race: deterministic fault injection, resilient-client recovery, exactly-once verdict accounting, session resume, leak checks
-	$(GO) test -race -count=1 ./internal/netfault ./internal/serve/client
-	$(GO) test -race -count=1 -run 'Session|Idle|HalfClose|Resume' ./internal/serve
+chaos-test: ## chaos gate under -race at GOMAXPROCS 1, 2 and 4: deterministic fault injection, resilient-client recovery, exactly-once verdict accounting, session resume, leak checks
+	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/netfault ./internal/serve/client
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Session|Idle|HalfClose|Resume' ./internal/serve
 
-fleet-test: ## sharded fleet gate under -race: ring routing, pub/sub bus, digest invariance across shard counts, mid-replay fleet swap, coordinator restart
-	$(GO) test -race -count=1 ./internal/fleet
-	$(GO) test -race -count=1 -run 'PromoteAllFile|ConnStatsFrame' ./internal/engine ./internal/serve
+fleet-test: ## sharded fleet gate under -race at GOMAXPROCS 1, 2 and 4: ring routing, pub/sub bus, digest invariance across shard counts, mid-replay fleet swap, coordinator restart
+	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/fleet
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'PromoteAllFile|ConnStatsFrame' ./internal/engine ./internal/serve
 
 fmt: ## rewrite sources with gofmt
 	gofmt -w .

@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"evax/internal/attacks"
 	"evax/internal/defense"
@@ -20,7 +21,10 @@ import (
 func main() {
 	fmt.Println("training the EVAX pipeline (corpus + AM-GAN + detector)...")
 	lab := experiments.NewLab(experiments.QuickLabOptions())
-	flagger := defense.NewDetectorFlagger(lab.EVAX, lab.DS)
+	flagger, err := defense.NewDetectorFlagger(lab.EVAX, lab.DS)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	dcfg := defense.DefaultConfig(sim.PolicyFenceAfterBranch)
 	dcfg.SampleInterval = 2000

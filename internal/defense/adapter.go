@@ -1,58 +1,53 @@
 package defense
 
 import (
+	"fmt"
+
 	"evax/internal/dataset"
 	"evax/internal/detect"
 	"evax/internal/hpc"
 	"evax/internal/kernel"
 )
 
-// DetectorFlagger bridges a trained detector into the controller: each
+// DetectorFlagger bridges a compiled detector into the controller: each
 // sampling window is scored by the fused kernel — expansion, normalization
-// and the dot product in a single pass over the raw counters — compiled
-// lazily on the first window. Detectors outside the kernel's single-layer
-// model fall back to the legacy expand→normalize→score pipeline. Either way
-// the steady-state FlagWindow path performs no heap allocations.
+// and the dot product in a single pass over the raw counters — and flagged
+// when the score reaches the kernel's threshold, the same rule the serving
+// path applies. A flagger is single-goroutine; concurrent runs each take a
+// Clone. FlagWindow performs no heap allocations.
 type DetectorFlagger struct {
-	Det *detect.Detector
-	DS  *dataset.Dataset
-
-	kern      *kernel.Scorer
-	kernTried bool
-
-	// Legacy fallback (deep detectors): expansion plan + derived-row scratch.
-	exp     *hpc.Expander
-	derived []float64
+	be kernel.Backend
 }
 
-// NewDetectorFlagger wires det (trained on ds) into the controller.
-func NewDetectorFlagger(det *detect.Detector, ds *dataset.Dataset) *DetectorFlagger {
-	return &DetectorFlagger{Det: det, DS: ds}
+// NewDetectorFlagger compiles det (trained on ds) into a fused float kernel
+// and wires it into the controller. Only the single-layer perceptron
+// compiles; any other detector is an error. The kernel snapshots the
+// detector's weights and threshold, so later mutation of det does not reach
+// the flagger.
+func NewDetectorFlagger(det *detect.Detector, ds *dataset.Dataset) (*DetectorFlagger, error) {
+	k, err := detect.CompileScorer(det, ds.Maxima())
+	if err != nil {
+		return nil, fmt.Errorf("defense: flagger: %w", err)
+	}
+	return NewBackendFlagger(k), nil
 }
 
-// FlagWindow implements Flagger. Steady state allocates nothing; the fused
-// kernel (or the fallback plan and scratch row) compiles lazily on the first
-// window or on a counter-set change, which is the only allocating path.
+// NewBackendFlagger wires an already compiled backend (float or quantized)
+// into the controller. The flagger takes ownership of be's scratch: pass a
+// CloneBackend of a shared backend.
+func NewBackendFlagger(be kernel.Backend) *DetectorFlagger {
+	return &DetectorFlagger{be: be}
+}
+
+// Clone returns a flagger sharing the compiled kernel with private scratch —
+// the per-job handle when runs fan out across goroutines.
+func (f *DetectorFlagger) Clone() *DetectorFlagger {
+	return NewBackendFlagger(f.be.CloneBackend())
+}
+
+// FlagWindow implements Flagger. Zero allocations.
 //
 //evaxlint:hotpath
 func (f *DetectorFlagger) FlagWindow(s hpc.Sample) bool {
-	if f.kern != nil && f.kern.RawDim() == len(s.Values) {
-		return f.kern.ScoreRaw(s.Values, s.Instructions, s.Cycles) >= f.Det.Threshold
-	}
-	if !f.kernTried || (f.kern != nil && f.kern.RawDim() != len(s.Values)) {
-		f.kernTried = true
-		k, err := detect.CompileScorer(f.Det, f.DS.Maxima()) //evaxlint:ignore hotpath one-time lazy kernel compile on the first window
-		if err == nil && k.RawDim() == len(s.Values) {
-			f.kern = k
-			return f.kern.ScoreRaw(s.Values, s.Instructions, s.Cycles) >= f.Det.Threshold
-		}
-		f.kern = nil
-	}
-	if f.exp == nil || f.exp.Dim() != hpc.DerivedSpaceSize(len(s.Values)) {
-		f.exp = hpc.NewExpander(len(s.Values))   //evaxlint:ignore hotpath one-time lazy plan compile on the first window
-		f.derived = make([]float64, f.exp.Dim()) //evaxlint:ignore hotpath scratch row allocated once with the plan
-	}
-	f.exp.ExpandInto(f.derived, s)
-	f.DS.NormalizeInPlace(f.derived)
-	return f.Det.Flag(f.derived)
+	return f.be.ScoreRaw(s.Values, s.Instructions, s.Cycles) >= f.be.Threshold()
 }

@@ -2,17 +2,19 @@ package defense
 
 import (
 	"os"
+	"strings"
 	"testing"
 
 	"evax/internal/attacks"
 	"evax/internal/dataset"
 	"evax/internal/detect"
+	"evax/internal/hpc"
 	"evax/internal/sim"
 	"evax/internal/workload"
 )
 
-// trainFlagger builds a small corpus and detector for adapter tests.
-func trainFlagger(t *testing.T) *DetectorFlagger {
+// trainDetector builds a small corpus and detector for adapter tests.
+func trainDetector(t *testing.T) (*detect.Detector, *dataset.Dataset) {
 	t.Helper()
 	var samples []dataset.Sample
 	cfg := sim.DefaultConfig()
@@ -38,7 +40,17 @@ func trainFlagger(t *testing.T) *DetectorFlagger {
 		}
 	}
 	d.TuneThresholdForFPR(benign, 0.02)
-	return NewDetectorFlagger(d, ds)
+	return d, ds
+}
+
+// trainFlagger compiles the trained detector into a controller flagger.
+func trainFlagger(t *testing.T) *DetectorFlagger {
+	t.Helper()
+	fl, err := NewDetectorFlagger(trainDetector(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fl
 }
 
 func TestDetectorFlaggerEndToEnd(t *testing.T) {
@@ -85,47 +97,59 @@ func TestDetectorFlaggerReducesLeakage(t *testing.T) {
 }
 
 func TestBundleRoundTrip(t *testing.T) {
-	fl := trainFlagger(t)
-	path := t.TempDir() + "/bundle.json"
-	if err := SaveBundle(path, fl.Det, fl.DS); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadBundle(path)
+	det, ds := trainDetector(t)
+	fl, err := NewDetectorFlagger(det, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The loaded flagger must agree with the original on live windows.
+	path := t.TempDir() + "/bundle.json"
+	if err := SaveBundle(path, det, ds); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotDet, gotDS, err := DecodeBundle(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewDetectorFlagger(gotDet, gotDS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The decoded flagger must agree with the original on live windows.
 	dcfg := DefaultConfig(sim.PolicyInvisiSpecSpectre)
 	dcfg.SampleInterval = 1000
 	a := RunProgram(sim.DefaultConfig(), attacks.SpectrePHT(77, 10), fl, dcfg, 1_000_000)
 	b := RunProgram(sim.DefaultConfig(), attacks.SpectrePHT(77, 10), got, dcfg, 1_000_000)
 	if a.Flags != b.Flags || a.Windows != b.Windows {
-		t.Fatalf("loaded bundle diverges: %d/%d vs %d/%d flags",
+		t.Fatalf("decoded bundle diverges: %d/%d vs %d/%d flags",
 			a.Flags, a.Windows, b.Flags, b.Windows)
 	}
 }
 
+// TestLoadBundleRejectsGarbage: bundle bytes that are not JSON, or a bundle
+// with no detector and no maxima, fail decoding before any flagger exists.
+// (Disk loading goes through engine.Load; a missing file is covered by the
+// always-secure fallback tests.)
 func TestLoadBundleRejectsGarbage(t *testing.T) {
-	dir := t.TempDir()
-	bad := dir + "/bad.json"
-	if err := writeTestFile(bad, "{oops"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBundle(bad); err == nil {
+	if _, _, err := DecodeBundle([]byte("{oops")); err == nil {
 		t.Fatal("garbage bundle accepted")
 	}
-	empty := dir + "/empty.json"
-	if err := writeTestFile(empty, `{"detector":null,"maxima":[]}`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBundle(empty); err == nil {
+	if _, _, err := DecodeBundle([]byte(`{"detector":null,"maxima":[]}`)); err == nil {
 		t.Fatal("empty bundle accepted")
-	}
-	if _, err := LoadBundle(dir + "/missing.json"); err == nil {
-		t.Fatal("missing bundle accepted")
 	}
 }
 
-func writeTestFile(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0o644)
+// TestDetectorFlaggerRejectsDeep: only the single-layer perceptron compiles
+// into the fused kernel, so a deep detector cannot become a flagger.
+func TestDetectorFlaggerRejectsDeep(t *testing.T) {
+	fs := detect.EVAXBase()
+	d := detect.NewDeep(1, fs, 2, 8)
+	maxima := make([]float64, hpc.DerivedSpaceSize(sim.CounterCatalog().Len()))
+	fl, err := NewDetectorFlagger(d, dataset.FromMaxima(maxima))
+	if err == nil || !strings.Contains(err.Error(), "single-layer") {
+		t.Fatalf("deep detector: flagger %v, err %v", fl, err)
+	}
 }

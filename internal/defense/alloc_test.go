@@ -10,7 +10,7 @@ import (
 )
 
 // FlagWindow runs once per sampling window inside the defense controller;
-// after the first window compiles the expansion plan it must not allocate.
+// it must not allocate.
 func TestFlagWindowZeroAlloc(t *testing.T) {
 	cat := sim.CounterCatalog()
 	derivedDim := hpc.DerivedSpaceSize(cat.Len())
@@ -21,12 +21,15 @@ func TestFlagWindowZeroAlloc(t *testing.T) {
 	for i := range max {
 		max[i] = float64(i%9) + 1
 	}
-	fl := NewDetectorFlagger(d, dataset.FromMaxima(max))
+	fl, err := NewDetectorFlagger(d, dataset.FromMaxima(max))
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := hpc.Sample{Values: make([]float64, cat.Len()), Instructions: 2000, Cycles: 4000}
 	for i := range s.Values {
 		s.Values[i] = float64(i % 13)
 	}
-	fl.FlagWindow(s) // first window compiles the expander + scratch
+	fl.FlagWindow(s) // warm-up window
 	if n := testing.AllocsPerRun(100, func() { fl.FlagWindow(s) }); n != 0 {
 		t.Errorf("FlagWindow allocates %v times per window, want 0", n)
 	}

@@ -14,8 +14,8 @@ import (
 )
 
 // Flagger is the detection interface the controller consults once per
-// sampling window. Implementations wrap a detector plus the corpus
-// normalizer (see NewDetectorFlagger in this package's adapter file).
+// sampling window. The detector-backed implementation is DetectorFlagger,
+// a compiled fused kernel (see NewDetectorFlagger in the adapter file).
 type Flagger interface {
 	// FlagWindow inspects one HPC sampling window and reports whether
 	// mitigation should engage.

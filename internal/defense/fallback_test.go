@@ -1,4 +1,4 @@
-package defense
+package defense_test
 
 import (
 	"encoding/json"
@@ -11,12 +11,21 @@ import (
 
 	"evax/internal/attacks"
 	"evax/internal/dataset"
+	"evax/internal/defense"
 	"evax/internal/detect"
+	"evax/internal/engine"
 	"evax/internal/faultinject"
 	"evax/internal/hpc"
 	"evax/internal/safeio"
 	"evax/internal/sim"
 )
+
+// bundleFile mirrors the bundle wire form so tests can corrupt one field at
+// a time.
+type bundleFile struct {
+	Detector json.RawMessage `json:"detector"`
+	Maxima   []float64       `json:"maxima"`
+}
 
 // syntheticBundle writes a structurally valid bundle without training: an
 // untrained perceptron over the EVAX feature set plus unit maxima spanning
@@ -31,20 +40,20 @@ func syntheticBundle(t *testing.T, path string) (*detect.Detector, *dataset.Data
 		maxima[i] = 1
 	}
 	ds := dataset.FromMaxima(maxima)
-	if err := SaveBundle(path, d, ds); err != nil {
+	if err := defense.SaveBundle(path, d, ds); err != nil {
 		t.Fatal(err)
 	}
 	return d, ds
 }
 
 // corruptBundle rewrites path with a mutated copy of the bundle it holds.
-func corruptBundle(t *testing.T, path string, mutate func(b *bundle)) {
+func corruptBundle(t *testing.T, path string, mutate func(b *bundleFile)) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b bundle
+	var b bundleFile
 	if err := json.Unmarshal(data, &b); err != nil {
 		t.Fatal(err)
 	}
@@ -59,40 +68,40 @@ func corruptBundle(t *testing.T, path string, mutate func(b *bundle)) {
 }
 
 // TestLoadBundleRejectsMalformedBundles: each way a bundle can be broken is
-// rejected with its own distinct error before any flagger is built — a
-// maxima-length mismatch in particular would otherwise panic inside
-// NormalizeInPlace on the first sampled window.
+// rejected by DecodeBundle with its own distinct error before any flagger
+// is built — a maxima-length mismatch in particular would otherwise panic
+// inside the kernel on the first sampled window.
 func TestLoadBundleRejectsMalformedBundles(t *testing.T) {
 	cases := []struct {
 		name   string
-		mutate func(t *testing.T, b *bundle)
+		mutate func(t *testing.T, b *bundleFile)
 		want   string
 	}{
 		{
 			name:   "maxima too short",
-			mutate: func(t *testing.T, b *bundle) { b.Maxima = b.Maxima[:len(b.Maxima)-1] },
+			mutate: func(t *testing.T, b *bundleFile) { b.Maxima = b.Maxima[:len(b.Maxima)-1] },
 			want:   "maxima for a",
 		},
 		{
 			name:   "maxima too long",
-			mutate: func(t *testing.T, b *bundle) { b.Maxima = append(b.Maxima, 1) },
+			mutate: func(t *testing.T, b *bundleFile) { b.Maxima = append(b.Maxima, 1) },
 			want:   "maxima for a",
 		},
 		{
 			name:   "negative maximum",
-			mutate: func(t *testing.T, b *bundle) { b.Maxima[2] = -4 },
+			mutate: func(t *testing.T, b *bundleFile) { b.Maxima[2] = -4 },
 			want:   "is negative",
 		},
 		{
 			name: "malformed detector patch",
-			mutate: func(t *testing.T, b *bundle) {
+			mutate: func(t *testing.T, b *bundleFile) {
 				b.Detector = json.RawMessage(`{"layers":[]}`)
 			},
 			want: "holds no layers",
 		},
 		{
 			name: "detector patch with hostile index",
-			mutate: func(t *testing.T, b *bundle) {
+			mutate: func(t *testing.T, b *bundleFile) {
 				var sd map[string]any
 				if err := json.Unmarshal(b.Detector, &sd); err != nil {
 					t.Fatal(err)
@@ -111,8 +120,12 @@ func TestLoadBundleRejectsMalformedBundles(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "bundle.json")
 			syntheticBundle(t, path)
-			corruptBundle(t, path, func(b *bundle) { tc.mutate(t, b) })
-			_, err := LoadBundle(path)
+			corruptBundle(t, path, func(b *bundleFile) { tc.mutate(t, b) })
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = defense.DecodeBundle(data)
 			if err == nil {
 				t.Fatal("malformed bundle accepted")
 			}
@@ -124,15 +137,17 @@ func TestLoadBundleRejectsMalformedBundles(t *testing.T) {
 }
 
 // isAlwaysOn reports whether fl is the AlwaysOn flagger (func identity).
-func isAlwaysOn(fl Flagger) bool {
-	f, ok := fl.(FlaggerFunc)
-	return ok && reflect.ValueOf(f).Pointer() == reflect.ValueOf(AlwaysOn).Pointer()
+func isAlwaysOn(fl defense.Flagger) bool {
+	f, ok := fl.(defense.FlaggerFunc)
+	return ok && reflect.ValueOf(f).Pointer() == reflect.ValueOf(defense.AlwaysOn).Pointer()
 }
 
 // TestLoadBundleOrSecureFallsBack: every failure mode — missing file,
-// garbage bytes, malformed detector, broken maxima — degrades to the
-// always-secure flagger instead of refusing to run, and the cause is
-// reported so operators see why performance recovery is off.
+// garbage bytes, malformed detector, broken maxima, a detector the kernel
+// cannot compile — degrades the sanctioned loader
+// (engine.LoadFlaggerOrSecure) to the always-secure flagger instead of
+// refusing to run, and the cause is reported so operators see why
+// performance recovery is off.
 func TestLoadBundleOrSecureFallsBack(t *testing.T) {
 	dir := t.TempDir()
 
@@ -145,18 +160,25 @@ func TestLoadBundleOrSecureFallsBack(t *testing.T) {
 		},
 		"malformed detector": func(path string) {
 			syntheticBundle(t, path)
-			corruptBundle(t, path, func(b *bundle) { b.Detector = json.RawMessage(`null`) })
+			corruptBundle(t, path, func(b *bundleFile) { b.Detector = json.RawMessage(`null`) })
 		},
 		"truncated maxima": func(path string) {
 			syntheticBundle(t, path)
-			corruptBundle(t, path, func(b *bundle) { b.Maxima = b.Maxima[:3] })
+			corruptBundle(t, path, func(b *bundleFile) { b.Maxima = b.Maxima[:3] })
+		},
+		// Valid, but the kernel cannot compile it, so it cannot go live.
+		"deep detector": func(path string) {
+			_, ds := syntheticBundle(t, path)
+			if err := defense.SaveBundle(path, detect.NewDeep(3, detect.EVAXBase(), 2, 8), ds); err != nil {
+				t.Fatal(err)
+			}
 		},
 	}
 	for name, corrupt := range corruptions {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(dir, strings.ReplaceAll(name, " ", "_")+".json")
 			corrupt(path)
-			fl, err := LoadBundleOrSecure(path)
+			fl, err := engine.LoadFlaggerOrSecure(path)
 			if err == nil {
 				t.Fatal("broken bundle loaded without reporting a cause")
 			}
@@ -169,12 +191,12 @@ func TestLoadBundleOrSecureFallsBack(t *testing.T) {
 	// A valid bundle loads normally: no error, a real detector flagger.
 	path := filepath.Join(dir, "good.json")
 	syntheticBundle(t, path)
-	fl, err := LoadBundleOrSecure(path)
+	fl, err := engine.LoadFlaggerOrSecure(path)
 	if err != nil {
 		t.Fatalf("valid bundle rejected: %v", err)
 	}
-	if _, ok := fl.(*DetectorFlagger); !ok {
-		t.Fatalf("valid bundle yielded %T, want *DetectorFlagger", fl)
+	if _, ok := fl.(*defense.DetectorFlagger); !ok {
+		t.Fatalf("valid bundle yielded %T, want *defense.DetectorFlagger", fl)
 	}
 }
 
@@ -187,18 +209,18 @@ func TestTornBundleUpdateKeepsOldBundle(t *testing.T) {
 	det, ds := syntheticBundle(t, path)
 
 	restore := safeio.SetHook(faultinject.TornWriteHook(0))
-	err := SaveBundle(path, det, ds)
+	err := defense.SaveBundle(path, det, ds)
 	restore()
 	if !errors.Is(err, safeio.ErrTorn) {
 		t.Fatalf("torn save err = %v, want ErrTorn", err)
 	}
 
-	fl, err := LoadBundleOrSecure(path)
+	fl, err := engine.LoadFlaggerOrSecure(path)
 	if err != nil {
 		t.Fatalf("old bundle unreadable after torn update: %v", err)
 	}
-	if _, ok := fl.(*DetectorFlagger); !ok {
-		t.Fatalf("flagger is %T, want the previous *DetectorFlagger", fl)
+	if _, ok := fl.(*defense.DetectorFlagger); !ok {
+		t.Fatalf("flagger is %T, want the previous *defense.DetectorFlagger", fl)
 	}
 }
 
@@ -215,20 +237,20 @@ func TestTornFirstSaveFallsBackSecure(t *testing.T) {
 	ds := dataset.FromMaxima(maxima)
 
 	restore := safeio.SetHook(faultinject.TornWriteHook(0))
-	err := SaveBundle(path, det, ds)
+	err := defense.SaveBundle(path, det, ds)
 	restore()
 	if !errors.Is(err, safeio.ErrTorn) {
 		t.Fatalf("torn save err = %v, want ErrTorn", err)
 	}
 
-	fl, err := LoadBundleOrSecure(path)
+	fl, err := engine.LoadFlaggerOrSecure(path)
 	if err == nil || !isAlwaysOn(fl) {
 		t.Fatalf("want AlwaysOn fallback with cause, got %T, err %v", fl, err)
 	}
 
-	dcfg := DefaultConfig(sim.PolicyInvisiSpecSpectre)
+	dcfg := defense.DefaultConfig(sim.PolicyInvisiSpecSpectre)
 	dcfg.SampleInterval = 1000
-	res := RunProgram(sim.DefaultConfig(), attacks.SpectrePHT(77, 10), fl, dcfg, 1_000_000)
+	res := defense.RunProgram(sim.DefaultConfig(), attacks.SpectrePHT(77, 10), fl, dcfg, 1_000_000)
 	if res.Windows == 0 {
 		t.Fatal("no windows sampled")
 	}

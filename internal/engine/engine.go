@@ -1,13 +1,21 @@
 // Package engine owns the bundle→detector→scorer lifecycle: it turns a
 // deployable detection bundle into an immutable, versioned Generation
-// (content hash + compiled float/quantized kernel + flagger wiring) and
-// hot-swaps generations behind an atomic pointer with canary gating,
-// crash-safe staging, and automatic rollback — the paper's "pro-active &
-// adaptive" loop made operational (live vaccination). Every serving
-// consumer (serve shards, the defense flagger, replay) resolves its scorer
-// per batch from the Swapper's current generation, so a validated candidate
-// goes live with zero dropped frames: in-flight batches finish on the
-// generation they started on, and the next batch scores on the new one.
+// (content hash + compiled float/quantized kernel) and hot-swaps
+// generations behind an atomic pointer with canary gating, crash-safe
+// staging, and automatic rollback — the paper's "pro-active & adaptive"
+// loop made operational (live vaccination). Serving consumers (serve
+// shards, the HTTP /score handler) resolve their scorer per batch from the
+// Swapper's current generation, so a validated candidate goes live with
+// zero dropped frames: in-flight batches finish on the generation they
+// started on, and the next batch scores on the new one. Replay and the
+// defense controller's flagger (Generation.Flagger) pin one generation.
+//
+// Every generation scores through the fused kernel. A detector the kernel
+// cannot compile (anything but the single-layer perceptron, e.g. the deep
+// detectors of the offline Figure 20 study) is refused when the generation
+// is built, so no bundle, watch candidate, canary or fleet promote carrying
+// one can go live; LoadFlaggerOrSecure degrades such a bundle to the
+// always-secure flagger.
 //
 // The package is the only one allowed to load bundles from disk (the
 // evaxlint bundleload rule): defense.DecodeBundle validates bytes, engine
@@ -23,7 +31,6 @@ import (
 	"evax/internal/dataset"
 	"evax/internal/defense"
 	"evax/internal/detect"
-	"evax/internal/hpc"
 	"evax/internal/kernel"
 	"evax/internal/safeio"
 )
@@ -59,50 +66,38 @@ type Generation struct {
 	backend string
 	data    []byte // encoded bundle bytes, the unit the manager persists
 
-	det    *detect.Detector
-	ds     *dataset.Dataset
-	rawDim int
+	det *detect.Detector
+	ds  *dataset.Dataset
 
-	// be is the compiled master backend (nil for deep detectors, which
-	// score through the legacy three-pass pipeline per scorer).
+	// be is the compiled master backend; scorers and flaggers clone it.
 	be kernel.Backend
 }
 
-// build compiles a generation from decoded parts.
+// build compiles a generation from decoded parts: the one place that
+// decides whether a detector can go live (every entry point builds here).
 func build(det *detect.Detector, ds *dataset.Dataset, backend, path string, data []byte) (*Generation, error) {
+	if !ValidBackend(backend) {
+		return nil, fmt.Errorf("engine: unknown backend %q (want %q or %q)", backend, BackendFloat, BackendQuantized)
+	}
+	k, err := detect.CompileScorer(det, ds.Maxima())
+	if err != nil {
+		return nil, fmt.Errorf("engine: detector cannot go live: %w", err)
+	}
 	g := &Generation{
 		hash:    safeio.Checksum(data),
 		path:    path,
-		backend: backend,
+		backend: BackendFloat,
 		data:    data,
 		det:     det,
 		ds:      ds,
+		be:      k,
 	}
-	k, err := detect.CompileScorer(det, ds.Maxima())
-	switch backend {
-	case BackendQuantized:
+	if backend == BackendQuantized {
+		q, err := kernel.Quantize(k)
 		if err != nil {
 			return nil, fmt.Errorf("engine: quantized backend: %w", err)
 		}
-		q, qerr := kernel.Quantize(k)
-		if qerr != nil {
-			return nil, fmt.Errorf("engine: quantized backend: %w", qerr)
-		}
-		g.be = q
-		g.rawDim = k.RawDim()
-	case BackendFloat, "":
-		g.backend = BackendFloat
-		if err == nil {
-			g.be = k
-			g.rawDim = k.RawDim()
-		} else {
-			// Deep detector: keep the legacy expand→normalize→score path;
-			// the raw dimension follows from the derived space the
-			// normalizer covers.
-			g.rawDim = ds.DerivedDim / int(hpc.NumDerivedKinds)
-		}
-	default:
-		return nil, fmt.Errorf("engine: unknown backend %q (want %q or %q)", backend, BackendFloat, BackendQuantized)
+		g.backend, g.be = BackendQuantized, q
 	}
 	return g, nil
 }
@@ -154,20 +149,15 @@ func (g *Generation) HashHex() string { return fmt.Sprintf("%016x", g.hash) }
 // in-memory generations).
 func (g *Generation) Path() string { return g.path }
 
-// Backend returns the compiled backend selector (BackendFloat for deep
-// detectors, which fall back to the legacy pipeline).
+// Backend returns the compiled backend selector: BackendFloat or
+// BackendQuantized.
 func (g *Generation) Backend() string { return g.backend }
 
 // RawDim returns the base counter-space width clients must stream.
-func (g *Generation) RawDim() int { return g.rawDim }
+func (g *Generation) RawDim() int { return g.be.RawDim() }
 
 // Threshold exposes the decision boundary of the compiled backend.
-func (g *Generation) Threshold() float64 {
-	if g.be != nil {
-		return g.be.Threshold()
-	}
-	return g.det.Threshold
-}
+func (g *Generation) Threshold() float64 { return g.be.Threshold() }
 
 // Detector returns the decoded detector. Callers must not mutate it; clone
 // first (generations are immutable).
@@ -176,15 +166,18 @@ func (g *Generation) Detector() *detect.Detector { return g.det }
 // Dataset returns the normalizer the detector was trained with.
 func (g *Generation) Dataset() *dataset.Dataset { return g.ds }
 
-// Flagger returns a defense controller flagger pinned to this generation.
+// Flagger returns a defense controller flagger pinned to this generation:
+// a private clone of the generation's compiled backend, so it flags with the
+// same arithmetic (float or quantized) the serving path scores with.
 func (g *Generation) Flagger() defense.Flagger {
-	return defense.NewDetectorFlagger(g.det, g.ds)
+	return defense.NewBackendFlagger(g.be.CloneBackend())
 }
 
 // LoadFlaggerOrSecure loads a bundle into a generation and returns its
 // flagger, degrading to the AlwaysOn flagger when the bundle is missing,
-// torn, or fails validation — the paper's safe default (full protection, no
-// performance recovery) until a valid detector update arrives. The error
+// torn, fails validation, or holds a detector the kernel cannot compile —
+// the paper's safe default (full protection, no performance recovery)
+// until a valid detector update arrives. The error
 // explains why the fallback engaged; the returned Flagger is usable either
 // way.
 func LoadFlaggerOrSecure(path string) (defense.Flagger, error) {

@@ -3,6 +3,7 @@ package engine
 import (
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -40,6 +41,21 @@ func testGen(t *testing.T, seed int64, threshold float64, backend string) *Gener
 		t.Fatal(err)
 	}
 	return g
+}
+
+// deepBundle encodes a two-hidden-layer detector over the EVAX feature set
+// with unit maxima: a valid bundle the fused kernel cannot compile.
+func deepBundle(t *testing.T) []byte {
+	t.Helper()
+	_, ds := testParts(t, 1)
+	data, err := defense.EncodeBundle(detect.NewDeep(1, detect.EVAXBase(), 2, 8), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := defense.DecodeBundle(data); err != nil {
+		t.Fatalf("deep bundle fails validation: %v", err)
+	}
+	return data
 }
 
 // testCorpus fabricates n deterministic raw counter windows of the
@@ -124,6 +140,18 @@ func TestFromBytesRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Load(filepath.Join(t.TempDir(), "missing.json"), ""); err == nil {
 		t.Fatal("missing file built a generation")
+	}
+}
+
+// TestFromBytesRefusesDeep: a valid bundle whose detector the kernel cannot
+// compile never becomes a generation, whichever backend is asked for.
+func TestFromBytesRefusesDeep(t *testing.T) {
+	data := deepBundle(t)
+	for _, backend := range []string{"", BackendFloat, BackendQuantized} {
+		g, err := FromBytes(data, "deep.json", backend)
+		if err == nil || !strings.Contains(err.Error(), "single-layer") {
+			t.Fatalf("backend %q: generation %v, err %v", backend, g, err)
+		}
 	}
 }
 
@@ -222,5 +250,38 @@ func TestLoadFlaggerOrSecure(t *testing.T) {
 	}
 	if _, ok := fl.(*defense.DetectorFlagger); !ok {
 		t.Fatalf("valid bundle yielded %T, want *defense.DetectorFlagger", fl)
+	}
+}
+
+// TestGenerationFlaggerMatchesScorer: a generation's flagger flags exactly
+// the windows its scorer puts at or above threshold, for both backends — the
+// controller and the serving path share one arithmetic.
+func TestGenerationFlaggerMatchesScorer(t *testing.T) {
+	corpus := testCorpus(64, sim.CounterCatalog().Len())
+	// Put the threshold at the median float score so the corpus straddles it.
+	probe := testGen(t, 11, 0.5, "").NewScorer()
+	scores := make([]float64, len(corpus))
+	for i, s := range corpus {
+		scores[i] = probe.Score(s.Raw, s.Instructions, s.Cycles)
+	}
+	sort.Float64s(scores)
+	thr := scores[len(scores)/2]
+	for _, backend := range []string{BackendFloat, BackendQuantized} {
+		g := testGen(t, 11, thr, backend)
+		fl, sc := g.Flagger(), g.NewScorer()
+		flagged := 0
+		for _, s := range corpus {
+			want := sc.Score(s.Raw, s.Instructions, s.Cycles) >= sc.Threshold()
+			win := hpc.Sample{Values: s.Raw, Instructions: s.Instructions, Cycles: s.Cycles}
+			if got := fl.FlagWindow(win); got != want {
+				t.Fatalf("%s: flagger %v, scorer %v", backend, got, want)
+			}
+			if want {
+				flagged++
+			}
+		}
+		if flagged == 0 || flagged == len(corpus) {
+			t.Fatalf("%s: %d of %d windows flagged; corpus does not straddle the threshold", backend, flagged, len(corpus))
+		}
 	}
 }

@@ -286,9 +286,9 @@ func TestOpenRecoversFallbackWhenActiveBroken(t *testing.T) {
 	}
 
 	// The staged generation files are plain bundles; with both torn, the
-	// defense loader degrades to always-secure rather than refusing to run.
+	// flagger loader degrades to always-secure rather than refusing to run.
 	for _, path := range []string{activeFile, fallbackFile} {
-		fl, err := defense.LoadBundleOrSecure(path)
+		fl, err := LoadFlaggerOrSecure(path)
 		if err == nil || !isAlwaysOn(fl) {
 			t.Fatalf("%s: flagger %T err %v, want AlwaysOn with cause", path, fl, err)
 		}
@@ -382,4 +382,45 @@ func TestManagerRescan(t *testing.T) {
 	if epoch != 2 {
 		t.Fatalf("epoch %d after one real promotion, want 2", epoch)
 	}
+}
+
+// TestManagerRefusesDeepCandidate: a bundle carrying a detector the kernel
+// cannot compile is refused by an operator promote, a fleet promote and the
+// watch rescan alike — with a reason in the report, and the active
+// generation and epoch untouched.
+func TestManagerRefusesDeepCandidate(t *testing.T) {
+	intake := t.TempDir()
+	path := filepath.Join(intake, "deep.json")
+	if err := safeio.WriteFile(path, deepBundle(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mgr, active, _ := managerFixture(t, t.TempDir())
+	unchanged := func(what string) {
+		t.Helper()
+		if mgr.Active() != active || mgr.Swapper().Epoch() != 1 || mgr.Swapper().Fallback() != nil {
+			t.Fatalf("%s: active %s epoch %d fallback %p, want %s at epoch 1 with no fallback",
+				what, mgr.Active().HashHex(), mgr.Swapper().Epoch(), mgr.Swapper().Fallback(), active.HashHex())
+		}
+	}
+
+	rep, err := mgr.PromoteFile(path)
+	if err == nil || rep.Swapped || !strings.Contains(rep.Reason, "single-layer") {
+		t.Fatalf("promote deep bundle: report %+v, err %v", rep, err)
+	}
+	unchanged("promote")
+
+	frep, err := PromoteAllFile([]*Manager{mgr}, path)
+	if err == nil || frep.Swapped || !frep.Aligned {
+		t.Fatalf("fleet promote deep bundle: report %+v, err %v", frep, err)
+	}
+	unchanged("fleet promote")
+
+	reports, err := mgr.Rescan(intake)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) != 1 || reports[0].Swapped || !strings.Contains(reports[0].Reason, "single-layer") {
+		t.Fatalf("rescan deep bundle: %+v", reports)
+	}
+	unchanged("rescan")
 }

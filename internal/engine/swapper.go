@@ -4,9 +4,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-
-	"evax/internal/defense"
-	"evax/internal/hpc"
 )
 
 // ErrNoFallback is returned by Rollback when no fallback generation exists
@@ -82,33 +79,4 @@ func (s *Swapper) Rollback() (*Generation, error) {
 	s.fallback = failed
 	s.epoch.Add(1)
 	return s.active.Load(), nil
-}
-
-// Flagger returns a defense controller flagger that resolves the active
-// generation per window: after a hot swap the very next sampled window
-// scores on the new generation, with the per-generation pipeline cached so
-// the steady state allocates nothing.
-func (s *Swapper) Flagger() defense.Flagger {
-	return &swapFlagger{sw: s}
-}
-
-// swapFlagger adapts the swapper to defense.Flagger. Single-goroutine, like
-// every controller flagger.
-type swapFlagger struct {
-	sw  *Swapper
-	gen *Generation
-	fl  *defense.DetectorFlagger
-}
-
-// FlagWindow implements defense.Flagger, re-resolving the pipeline only
-// when the active generation changed.
-//
-//evaxlint:hotpath
-func (f *swapFlagger) FlagWindow(s hpc.Sample) bool {
-	g := f.sw.Active()
-	if g != f.gen {
-		f.fl = defense.NewDetectorFlagger(g.det, g.ds) //evaxlint:ignore hotpath per-swap flagger rebuild; steady state reuses the cached pipeline
-		f.gen = g
-	}
-	return f.fl.FlagWindow(s)
 }

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"evax/internal/hpc"
 )
 
 // TestSwapperLifecycle: swap promotes the candidate and demotes the
@@ -86,35 +84,5 @@ func TestSwapperConcurrentActive(t *testing.T) {
 	wg.Wait()
 	if sw.Epoch() < 300 {
 		t.Fatalf("epoch %d after 300+ activations", sw.Epoch())
-	}
-}
-
-// TestSwapFlagger: the swapper-backed flagger re-resolves per window — after
-// a hot swap the very next window is judged by the new generation.
-func TestSwapFlagger(t *testing.T) {
-	// Sigmoid scores live in (0, 1): threshold 2 never flags, 0 always does.
-	never := testGen(t, 4, 2, "")
-	always := testGen(t, 4, 0, "")
-	sw := NewSwapper(never)
-	fl := sw.Flagger()
-
-	corpus := testCorpus(1, never.RawDim())
-	win := hpc.Sample{
-		Values:       corpus[0].Raw,
-		Instructions: corpus[0].Instructions,
-		Cycles:       corpus[0].Cycles,
-	}
-	if fl.FlagWindow(win) {
-		t.Fatal("threshold-2 generation flagged a window")
-	}
-	sw.Swap(always)
-	if !fl.FlagWindow(win) {
-		t.Fatal("swap did not reach the flagger: threshold -1 generation passed a window")
-	}
-	if _, err := sw.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	if fl.FlagWindow(win) {
-		t.Fatal("rollback did not reach the flagger")
 	}
 }

@@ -128,19 +128,19 @@ type Figure14Result struct {
 // Figure14 runs the benign suite (unseen seeds) under each configuration
 // and records IPC.
 func Figure14(lab *Lab) Figure14Result {
-	// detector selects the per-job gating detector: flaggers score through
-	// the sampling window, which mutates forward-pass scratch, so each
-	// (config, workload) job builds a flagger around a private clone.
+	// detector selects the gating detector: each configuration compiles it
+	// once, and each (config, workload) job clones the flagger, since
+	// scoring a window writes the kernel's scratch.
 	configs := []struct {
 		name     string
-		detector func() *detect.Detector // nil: always-on gating
+		detector *detect.Detector // nil: always-on gating
 		policy   sim.Policy
 	}{
 		{"InvisiSpec (always on)", nil, sim.PolicyInvisiSpecSpectre},
-		{"PerSpectron-SpectreSafe", lab.PerSpec.Clone, sim.PolicyFenceAfterBranch},
-		{"EVAX-SpectreSafe", lab.EVAX.Clone, sim.PolicyFenceAfterBranch},
-		{"EVAX-SafeSpec (InvisiSpec)", lab.EVAX.Clone, sim.PolicyInvisiSpecSpectre},
-		{"EVAX-FuturisticSafeFence", lab.EVAX.Clone, sim.PolicyFenceBeforeLoad},
+		{"PerSpectron-SpectreSafe", lab.PerSpec, sim.PolicyFenceAfterBranch},
+		{"EVAX-SpectreSafe", lab.EVAX, sim.PolicyFenceAfterBranch},
+		{"EVAX-SafeSpec (InvisiSpec)", lab.EVAX, sim.PolicyInvisiSpecSpectre},
+		{"EVAX-FuturisticSafeFence", lab.EVAX, sim.PolicyFenceBeforeLoad},
 	}
 	res := Figure14Result{}
 	const maxInstr = 200_000
@@ -160,10 +160,11 @@ func Figure14(lab *Lab) Figure14Result {
 			ipc      float64
 			timeline []defense.IPCPoint
 		}
+		gate := gatingFlagger(cfg.detector, lab.DS)
 		runs := runner.Map(lab.runnerOpts(), len(suite), func(wi int) workloadRun {
 			fl := defense.Flagger(defense.AlwaysOn)
-			if cfg.detector != nil {
-				fl = defense.NewDetectorFlagger(cfg.detector(), lab.DS)
+			if gate != nil {
+				fl = gate.Clone()
 			}
 			p := suite[wi].Build(int64(wi)*37+901, lab.Opts.Corpus.Scale)
 			r := defense.RunProgram(sim.DefaultConfig(), p, fl, dcfg, maxInstr)
@@ -341,19 +342,20 @@ func Figure16(lab *Lab) Figure16Result {
 	}
 
 	// run fans the benign suite out over the engine; detector is nil for
-	// always-on gating, otherwise each (workload) job wraps a private
-	// detector clone (scoring mutates forward-pass scratch). Per-workload
-	// overheads merge in suite order before the mean, so the row is
-	// byte-identical to the sequential sweep.
-	run := func(detector func() *detect.Detector, policy sim.Policy) float64 {
+	// always-on gating, otherwise it is compiled once and each (workload)
+	// job clones the flagger (scoring writes the kernel's scratch).
+	// Per-workload overheads merge in suite order before the mean, so the
+	// row is byte-identical to the sequential sweep.
+	run := func(detector *detect.Detector, policy sim.Policy) float64 {
 		dcfg := defense.DefaultConfig(policy)
 		dcfg.SampleInterval = lab.Opts.Corpus.Interval
 		dcfg.SecureWindow = 20_000
 		suite := workload.All()
+		gate := gatingFlagger(detector, lab.DS)
 		ovs := runner.Map(lab.runnerOpts(), len(suite), func(wi int) float64 {
 			fl := defense.Flagger(defense.AlwaysOn)
-			if detector != nil {
-				fl = defense.NewDetectorFlagger(detector(), lab.DS)
+			if gate != nil {
+				fl = gate.Clone()
 			}
 			p := suite[wi].Build(int64(wi)*37+901, lab.Opts.Corpus.Scale)
 			base := defense.RunProgram(sim.DefaultConfig(), suite[wi].Build(int64(wi)*37+901, lab.Opts.Corpus.Scale), defense.NeverOn, dcfg, maxInstr)
@@ -366,8 +368,8 @@ func Figure16(lab *Lab) Figure16Result {
 	var res Figure16Result
 	for _, pol := range policies {
 		always := run(nil, pol.policy)
-		ev := run(lab.EVAX.Clone, pol.policy)
-		ps := run(lab.PerSpec.Clone, pol.policy)
+		ev := run(lab.EVAX, pol.policy)
+		ps := run(lab.PerSpec, pol.policy)
 		res.Rows = append(res.Rows,
 			Figure16Row{pol.name, pol.policy, "always-on", always, 0},
 			Figure16Row{"PerSpectron-" + pol.name, pol.policy, "perspectron", ps, 1 - safeDiv(ps, always)},
@@ -375,6 +377,20 @@ func Figure16(lab *Lab) Figure16Result {
 		)
 	}
 	return res
+}
+
+// gatingFlagger compiles det into the flagger a configuration's jobs clone
+// (nil for always-on gating). The lab's detectors are single-layer
+// perceptrons, so a compile failure means a corrupted lab.
+func gatingFlagger(det *detect.Detector, ds *dataset.Dataset) *defense.DetectorFlagger {
+	if det == nil {
+		return nil
+	}
+	fl, err := defense.NewDetectorFlagger(det, ds)
+	if err != nil {
+		panic(err)
+	}
+	return fl
 }
 
 func safeDiv(a, b float64) float64 {

@@ -363,12 +363,13 @@ func (s *Scorer) ScoreBase(base []float64) float64 {
 }
 
 // Backend is the scoring interface the serving path binds to: one raw
-// window, a contiguous raw block, and the decision boundary. Both the float
-// and the quantized scorer implement it.
+// window, a contiguous raw block, the decision boundary and the raw counter
+// width. Both the float and the quantized scorer implement it.
 type Backend interface {
 	ScoreRaw(values []float64, instructions, cycles uint64) float64
 	ScoreRawRows(raw []float64, instr, cycles []uint64, out []float64)
 	Threshold() float64
+	RawDim() int
 	// CloneBackend returns a backend sharing compiled state with private
 	// scratch — the per-shard handle.
 	CloneBackend() Backend

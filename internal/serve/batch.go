@@ -211,8 +211,10 @@ func (sh *shard) flush(batch *[]request, lats *[]time.Duration) {
 				sh.srv.met.flagged.Add(1)
 			}
 			sh.srv.met.scored.Add(1)
-			if target != nil {
-				target.deliverShed(AppendVerdict(sh.srv.getFrame(), v))
+			if target != nil && !target.deliverShed(AppendVerdict(sh.srv.getFrame(), v)) {
+				sess.mu.Lock()
+				sess.shed++
+				sess.mu.Unlock()
 			}
 			ls[i] = time.Since(r.enq)
 			sh.srv.putRow(r.raw)

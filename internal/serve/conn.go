@@ -11,6 +11,10 @@ import (
 	"time"
 )
 
+// connBufSize is the size of a connection's read and write buffers: the
+// writer holds up to this many bytes of encoded frames before a socket write.
+const connBufSize = 64 << 10
+
 // conn is one client connection. The reader goroutine owns the inbound
 // framing and admission control; the writer goroutine owns every byte
 // written back (verdicts from the shard, rejects and errors from the reader)
@@ -78,7 +82,7 @@ func (c *conn) reject(seq uint64, code uint8, msg string) {
 func (c *conn) readLoop() {
 	defer c.srv.readerWg.Done()
 	defer c.teardown()
-	br := bufio.NewReaderSize(c.nc, 64<<10)
+	br := bufio.NewReaderSize(c.nc, connBufSize)
 	if err := c.handshake(br); err != nil {
 		c.deliver(AppendError(nil, err.Error()))
 		return
@@ -330,7 +334,7 @@ func (c *conn) teardown() {
 // the queue, so shard deliveries never block on a dead client.
 func (c *conn) writeLoop() {
 	defer c.srv.connWg.Done()
-	bw := bufio.NewWriterSize(c.nc, 64<<10)
+	bw := bufio.NewWriterSize(c.nc, connBufSize)
 	dead := false
 	for frame := range c.out {
 		if dead {

@@ -296,6 +296,16 @@ func TestAdmissionControlRejects(t *testing.T) {
 		}
 		instrStart += s.Instructions
 	}
+	// A returned Send only means the bytes left the client; release the
+	// batcher once the server has admitted or rejected every frame, so no
+	// frame reaches a queue the released batcher is already draining.
+	deadline := time.Now().Add(30 * time.Second)
+	for snap := srv.Snapshot(); snap.Accepted+snap.Rejected != total; snap = srv.Snapshot() {
+		if time.Now().After(deadline) {
+			t.Fatalf("server decided %d+%d of %d frames before the deadline", snap.Accepted, snap.Rejected, total)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	close(gate) // release the batcher; everything accepted now flushes
 	if err := cl.Bye(); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -273,5 +274,63 @@ func TestHalfCloseTolerated(t *testing.T) {
 	}
 	if len(verdicts) != 5 || stats.Scored != 5 {
 		t.Fatalf("half-closed conn: %d verdicts, scored %d, want 5/5", len(verdicts), stats.Scored)
+	}
+}
+
+// TestSessionShedCountedInStats: verdicts shed on a session conn's full
+// outbound queue are counted on the session, so the stats frame's Shed
+// equals the server's verdicts_shed delta, and every scored verdict is
+// either delivered or shed. The conn runs over an in-memory pipe the client
+// does not read until after bye, so the writer blocks once its buffer is
+// full (or on an earlier flush) and the queue behind it overflows.
+func TestSessionShedCountedInStats(t *testing.T) {
+	_, _, samples := lab(t)
+	// More verdicts than the writer's buffer and the outbound queue can
+	// hold between them; the admission queue takes them all, so nothing is
+	// rejected for overload.
+	total := connBufSize/len(AppendVerdict(nil, Verdict{})) + 2*outQueueDepth
+	cfg := DefaultConfig()
+	cfg.QueueBound = total
+	cfg.WriteTimeout = time.Minute // the writer must stay blocked, not die
+	srv := startServer(t, cfg)
+	dim := len(samples[0].Raw)
+	before := srv.Snapshot().Shed
+
+	clientEnd, serverEnd := net.Pipe()
+	if !srv.register(serverEnd) {
+		t.Fatal("server refused the conn")
+	}
+	cl := WrapConn(clientEnd)
+	defer cl.Close()
+	if _, err := cl.Resume(dim, 0); err != nil {
+		t.Fatal(err)
+	}
+	var instrStart uint64
+	for i := 0; i < total; i++ {
+		s := &samples[i%len(samples)]
+		if err := cl.Send(SampleHeader{Seq: uint64(i), InstrStart: instrStart}, s.Instructions, s.Cycles, s.Raw); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+		instrStart += s.Instructions
+	}
+	if err := cl.Bye(); err != nil {
+		t.Fatal(err)
+	}
+	stats, verdicts, rejects, err := cl.DrainStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shed := srv.Snapshot().Shed - before
+	if shed == 0 {
+		t.Fatal("nothing was shed; the outbound queue never filled")
+	}
+	if stats.Shed != shed {
+		t.Fatalf("stats frame reports shed %d, server counted %d", stats.Shed, shed)
+	}
+	if len(rejects) != 0 || stats.SessionScored != uint64(total) {
+		t.Fatalf("%d rejects, session scored %d of %d", len(rejects), stats.SessionScored, total)
+	}
+	if got := uint64(len(verdicts)) + stats.Shed; got != uint64(total) {
+		t.Fatalf("delivered %d + shed %d != scored %d", len(verdicts), stats.Shed, total)
 	}
 }
